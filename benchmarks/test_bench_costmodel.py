@@ -62,7 +62,7 @@ def _skewed_processor():
             )
         )
     return federation, PolygenQueryProcessor(
-        federation.schema, registry, concurrent=True, optimize="cost"
+        federation.schema, registry, optimize="cost"
     )
 
 

@@ -109,7 +109,7 @@ def _merge_plan() -> IntermediateOperationMatrix:
 def _remote_processor(url: str, concurrency: int) -> PolygenQueryProcessor:
     registry = LQPRegistry()
     registry.register(url, concurrency=concurrency, timeout=TIMEOUT)
-    return PolygenQueryProcessor(_xd_schema(), registry, concurrent=True)
+    return PolygenQueryProcessor(_xd_schema(), registry)
 
 
 def test_remote_concurrency_beats_single_connection(record_bench):

@@ -4,8 +4,9 @@ Where :mod:`benchmarks.test_bench_scheduling` *simulates* the makespan a
 parallel federation could achieve, this bench *measures* it: four
 autonomous databases are wrapped in :class:`~repro.lqp.cost.LatencyLQP`
 (a real per-query delay, the wall-clock realization of the scheduling
-cost model) and the same merge plan runs through the serial executor and
-the DAG-driven concurrent runtime.  The simulated schedule is then
+cost model) and the same merge plan runs through the inline
+:class:`~repro.pqp.executor.Executor` and the pooled
+:class:`~repro.pqp.runtime.ConcurrentExecutor`.  The simulated schedule is then
 validated against the measured trace.
 
 The pushdown bench executes the paper's Table-3 plan in its naive form —
@@ -38,7 +39,9 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
 )
+from repro.pqp.executor import Executor
 from repro.pqp.processor import PolygenQueryProcessor
+from repro.pqp.runtime import ConcurrentExecutor
 from repro.pqp.schedule import schedule_plan, validate_against_trace
 
 #: Injected per-query latency (seconds) and federation width.
@@ -60,26 +63,37 @@ def _federation():
     )
 
 
-def _latency_processor(federation, **kwargs) -> PolygenQueryProcessor:
+def _latency_registry(federation) -> LQPRegistry:
     registry = LQPRegistry()
     for database in federation.databases.values():
         registry.register(LatencyLQP(RelationalLQP(database), per_query=DELAY))
-    return PolygenQueryProcessor(federation.schema, registry, **kwargs)
+    return registry
+
+
+def _latency_processor(federation, **kwargs) -> PolygenQueryProcessor:
+    return PolygenQueryProcessor(
+        federation.schema, _latency_registry(federation), **kwargs
+    )
 
 
 def test_concurrent_runtime_beats_serial_wall_clock(record_bench):
-    """With 4 latency-wrapped databases the concurrent runtime overlaps
-    the retrieves: ≥ 2x measured wall-clock speedup over serial."""
+    """With 4 latency-wrapped databases the pooled executor overlaps the
+    retrieves: ≥ 2x measured wall-clock speedup over inline dispatch."""
     federation = _federation()
-    serial_pqp = _latency_processor(federation)
-    concurrent_pqp = _latency_processor(federation, concurrent=True)
+    planner = federation.processor()
+    _, pom = planner.analyze(MERGE_QUERY)
+    plan, _ = planner.optimize(planner.plan(pom))
+    serial_executor = Executor(federation.schema, _latency_registry(federation))
+    concurrent_executor = ConcurrentExecutor(
+        federation.schema, _latency_registry(federation)
+    )
 
     began = time.perf_counter()
-    serial = serial_pqp.run_algebra(MERGE_QUERY)
+    serial = serial_executor.execute(plan)
     serial_seconds = time.perf_counter() - began
 
     began = time.perf_counter()
-    concurrent = concurrent_pqp.run_algebra(MERGE_QUERY)
+    concurrent = concurrent_executor.execute(plan)
     concurrent_seconds = time.perf_counter() - began
 
     assert concurrent.relation == serial.relation
@@ -99,7 +113,7 @@ def test_simulated_schedule_matches_measured_trace(record_bench):
     """The scheduling model, fed the LatencyLQP delays as its cost model,
     predicts the measured concurrent makespan to the right order."""
     federation = _federation()
-    pqp = _latency_processor(federation, concurrent=True)
+    pqp = _latency_processor(federation)
     run = pqp.run_algebra(MERGE_QUERY)
 
     costs = {

@@ -6,9 +6,9 @@ service adds on top, *inter*-query concurrency, against latency-injected
 LQPs (a real per-query delay standing in for the network):
 
 - **per-query executor** (the historical shape): each query gets a fresh
-  ``PolygenQueryProcessor(concurrent=True)`` whose standalone
-  ``ConcurrentExecutor`` builds and tears down its per-database worker
-  threads inside ``execute()``, and queries run one after another;
+  standalone ``ConcurrentExecutor`` (no shared pool) that builds and
+  tears down its per-database worker threads inside ``execute()``, and
+  queries run one after another;
 - **shared pool, serial submits**: one long-lived
   :class:`~repro.service.federation.PolygenFederation`, same queries one
   at a time — isolates what reusing warm workers saves;

@@ -121,7 +121,7 @@ def _measure_whole_vs_sharded(registry: LQPRegistry):
     engine; return ``(whole_seconds, sharded_seconds, report)``."""
     schema = _schema()
     engine = PolygenQueryProcessor(
-        schema=schema, registry=registry, concurrent=True, optimize=False
+        schema=schema, registry=registry, optimize=False
     )
     try:
         began = time.perf_counter()

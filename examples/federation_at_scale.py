@@ -26,6 +26,7 @@ from repro.datasets.generators import FederationSpec, generate_federation
 from repro.lqp.cost import CostModel, LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
+from repro.pqp.executor import Executor
 from repro.pqp.explain import source_summary
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.pqp.schedule import schedule_plan, validate_against_trace
@@ -43,18 +44,18 @@ SPEC = FederationSpec(
 LATENCY = 0.02
 
 
-def latency_processor(federation, **kwargs) -> PolygenQueryProcessor:
-    """A PQP whose LQPs each sleep LATENCY per query — autonomous sources
-    that are genuinely worth overlapping."""
+def latency_registry(federation) -> LQPRegistry:
+    """LQPs that each sleep LATENCY per query — autonomous sources that
+    are genuinely worth overlapping."""
     registry = LQPRegistry()
     for database in federation.databases.values():
         registry.register(LatencyLQP(RelationalLQP(database), per_query=LATENCY))
-    return PolygenQueryProcessor(federation.schema, registry, **kwargs)
+    return registry
 
 
 def main() -> None:
     federation = generate_federation(SPEC)
-    pqp = federation.processor(concurrent=True)
+    pqp = federation.processor()
 
     print(
         f"Federation: {SPEC.databases} databases, universe of "
@@ -128,10 +129,15 @@ def main() -> None:
     print(f"Concurrent runtime vs the model ({LATENCY * 1000:.0f} ms/query LQPs)")
     print("----------------------------------------------------------")
     query = "GORGANIZATION [NAME, INDUSTRY]"
-    serial_run = latency_processor(federation).run_algebra(query)
-    concurrent_pqp = latency_processor(federation, concurrent=True)
+    concurrent_pqp = PolygenQueryProcessor(
+        federation.schema, latency_registry(federation)
+    )
     concurrent_run = concurrent_pqp.run_algebra(query)
-    assert concurrent_run.relation == serial_run.relation
+    # The same plan with every local row run inline, one after another.
+    serial_trace = Executor(federation.schema, latency_registry(federation)).execute(
+        concurrent_run.iom
+    )
+    assert concurrent_run.relation == serial_trace.relation
 
     costs = {
         name: CostModel(per_query=LATENCY, per_tuple=0.0)
@@ -145,11 +151,11 @@ def main() -> None:
         registry=concurrent_pqp.registry,
     )
     validation = validate_against_trace(schedule, concurrent_run.trace)
-    print(f"  serial executor measured makespan:     {serial_run.trace.wall_clock:8.3f}s")
+    print(f"  inline executor measured makespan:     {serial_trace.wall_clock:8.3f}s")
     print(f"  concurrent runtime measured makespan:  {validation.measured_makespan:8.3f}s")
     print(f"  scheduling model simulated makespan:   {validation.simulated_makespan:8.3f}s")
     print(
-        f"  measured speedup {serial_run.trace.wall_clock / validation.measured_makespan:.1f}x, "
+        f"  measured speedup {serial_trace.wall_clock / validation.measured_makespan:.1f}x, "
         f"model predicted {validation.simulated_speedup:.1f}x "
         f"over its simulated serial cost {validation.simulated_serial:.3f}s"
     )

@@ -49,12 +49,12 @@ def main() -> None:
         print("-------------------------------------------------------")
         alice = federation.session(name="alice")
         bob = federation.session(name="bob")
-        carol = federation.session(name="carol", engine="serial")
+        carol = federation.session(name="carol", prune_projections=True)
 
         # All three submitted before any result is awaited.
         mba_ceos = alice.submit(PAPER_SQL)
         banking = bob.submit('(PORGANIZATION [INDUSTRY = "High Tech"]) [ONAME, INDUSTRY]')
-        serial_run = carol.submit('(PCAREER [POSITION = "CEO"]) [ONAME]')
+        pruned_run = carol.submit('(PCAREER [POSITION = "CEO"]) [ONAME]')
 
         print("alice — the paper's §I query (Table 9):")
         for row in mba_ceos.result().relation:
@@ -71,11 +71,11 @@ def main() -> None:
                     f"  {row.data[0]} (origins {sorted(row[0].origins)})"
                 )
 
-        print("carol — serial engine by session option override:")
-        workers = {t.worker for t in serial_run.result().trace.timings.values()}
+        print("carol — projection pruning by session option override:")
+        pruned = pruned_run.result()
         print(
-            f"  {serial_run.result().relation.cardinality} organizations with a CEO"
-            f" on record, executed by {sorted(workers)}"
+            f"  {pruned.relation.cardinality} organizations with a CEO on record,"
+            f" {pruned.optimization.attributes_pruned} attribute(s) pruned"
         )
         print()
 

@@ -79,7 +79,7 @@ def main() -> None:
         entry = federation.events.records("slow_query")[-1]
         print("\nSlow-query log entry:")
         for key in (
-            "session", "engine", "elapsed_ms", "cache", "fingerprint",
+            "session", "elapsed_ms", "cache", "fingerprint",
             "busy_by_location", "sources",
         ):
             print(f"  {key}: {entry[key]}")

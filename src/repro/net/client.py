@@ -385,19 +385,12 @@ class RemoteLQP(LocalQueryProcessor):
         if parent is not None:
             parent.adopt(spans)
 
-    def _format_param(self, override: str | None = None) -> Dict[str, Any]:
+    def _format_param(self) -> Dict[str, Any]:
         """The per-request chunk-encoding key, honouring the connection's
-        ``wire_format`` (or a per-call override).  Never sent to a v1
-        server: such peers negotiated JSON and, being older, would ignore
-        the key anyway."""
-        choice = override or self._wire_format
-        if choice == "json":
-            return {}
-        if not self._binary:
-            if choice == "binary":
-                raise ProtocolError(
-                    f"LQP server at {self.url} cannot speak the binary wire format"
-                )
+        ``wire_format``.  Never sent to a v1 server: such peers negotiated
+        JSON and, being older, would ignore the key anyway (a
+        ``"binary"`` client refuses such a server at construction)."""
+        if self._wire_format == "json" or not self._binary:
             return {}
         return {"format": "binary"}
 
@@ -513,7 +506,6 @@ class RemoteLQP(LocalQueryProcessor):
         *,
         columns: Sequence[str] | None = None,
         chunk_size: int | None = None,
-        wire_format: str | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """A pull-style stream of a remote relation's chunks.
@@ -523,13 +515,13 @@ class RemoteLQP(LocalQueryProcessor):
         vectors + rows) as they land, while later chunks are still in
         flight.  This is the executor's pipelined-scan entry point:
         ``chunk_size`` asks the server for a specific granularity,
-        ``abort`` (any ``threading.Event``) cancels the stream mid-flight
-        from the consumer's side, and ``wire_format`` overrides the
-        connection default for this stream.
+        and ``abort`` (any ``threading.Event``) cancels the stream
+        mid-flight from the consumer's side.  Chunks use the connection's
+        ``wire_format``.
         """
         params: Dict[str, Any] = {"relation": relation_name}
         params.update(self._columns_param(columns))
-        params.update(self._format_param(wire_format))
+        params.update(self._format_param())
         params.update(self._trace_param())
         if chunk_size is not None:
             params["chunk_size"] = int(chunk_size)
@@ -544,7 +536,6 @@ class RemoteLQP(LocalQueryProcessor):
         *,
         columns: Sequence[str] | None = None,
         chunk_size: int | None = None,
-        wire_format: str | None = None,
         abort: threading.Event | None = None,
     ) -> "RelationChunkStream":
         """Like :meth:`retrieve_chunks` for a pushed-down selection."""
@@ -555,7 +546,7 @@ class RemoteLQP(LocalQueryProcessor):
             "value": protocol.wire_value(value),
         }
         params.update(self._columns_param(columns))
-        params.update(self._format_param(wire_format))
+        params.update(self._format_param())
         params.update(self._trace_param())
         if chunk_size is not None:
             params["chunk_size"] = int(chunk_size)

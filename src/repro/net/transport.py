@@ -560,15 +560,21 @@ class ConnectionMux:
                 chunks += 1
                 attributes = message.get("attributes")
                 is_binary = "columns" in message
-                if is_binary:
-                    batch = binary.columns_to_rows(message)
-                else:
-                    batch = protocol.rows_from_wire(message.get("rows", ()))
+                # Rowify only for a consumer that wants rows: a chunk-message
+                # sink decodes the chunk itself.
+                if accumulate or on_chunk is not None:
+                    if is_binary:
+                        batch = binary.columns_to_rows(message)
+                    else:
+                        batch = protocol.rows_from_wire(message.get("rows", ()))
                 if accumulate:
                     rows.extend(batch)
                 self._count(
                     chunks=1,
-                    tuples=len(batch),
+                    tuples=(
+                        message["count"] if is_binary
+                        else len(message.get("rows", ()))
+                    ),
                     binary_chunks=1 if is_binary else 0,
                 )
                 if on_chunk_message is not None:

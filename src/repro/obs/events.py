@@ -91,7 +91,6 @@ def slow_query_event(
     busy_by_location: Dict[str, float],
     sources: List[str],
     session: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
     """The canonical slow-query payload (sans timestamp/kind).
 
@@ -112,5 +111,4 @@ def slow_query_event(
         },
         "sources": sorted(sources),
         "session": session,
-        "engine": engine,
     }

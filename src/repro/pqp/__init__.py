@@ -11,11 +11,13 @@ The paper's query-translation pipeline (§III, Figure 2):
    out of scope; ours performs safe, tag-preserving rewrites:
    retrieve/merge deduplication, selection pushdown into LQPs, projection
    pruning at materialization, and dead-row pruning),
-4. an **execution engine** evaluates the IOM, routing local rows to LQPs
-   and performing polygen operations in the PQP (§IV) — either the serial
-   row-by-row :class:`~repro.pqp.executor.Executor` or the DAG-driven
-   :class:`~repro.pqp.runtime.ConcurrentExecutor`, which dispatches local
-   rows to per-database worker threads as their inputs become ready.
+4. one **execution loop** (:meth:`~repro.pqp.executor.Executor.execute`)
+   evaluates the IOM in dependency order, routing local rows to LQPs and
+   performing polygen operations in the PQP (§IV).  The base
+   :class:`~repro.pqp.executor.Executor` runs each ready local row inline
+   on the calling thread — the paper's row-at-a-time PQP;
+   :class:`~repro.pqp.runtime.ConcurrentExecutor` overrides only that
+   dispatch step, handing the row to its database's worker threads.
 
 The shared dependency structure lives in
 :class:`~repro.pqp.plandag.PlanDAG`; the scheduling simulator
@@ -24,8 +26,8 @@ the runtime actually drives, and measured per-row timings flow back via
 :class:`~repro.pqp.executor.ExecutionTrace` to validate the model.
 
 :class:`~repro.pqp.processor.PolygenQueryProcessor` is the blocking,
-single-user facade over the whole pipeline; its ``concurrent`` flag
-chooses the engine.  The multi-user front door — long-lived
+single-user facade over the whole pipeline, always on the pooled executor.
+The multi-user front door — long-lived
 :class:`~repro.service.federation.PolygenFederation`, sessions, query
 handles, streaming cursors, a worker pool shared across queries — lives
 in :mod:`repro.service`; the facade is now a single-session federation

@@ -24,9 +24,11 @@ belongs to.
 
 from __future__ import annotations
 
+import queue
 import threading
 import time
-from contextlib import nullcontext
+from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -51,11 +53,17 @@ from repro.pqp.matrix import (
     Operation,
     ResultOperand,
 )
+from repro.pqp.plandag import PlanDAG
 
 __all__ = ["Executor", "ExecutionTrace", "RowTiming"]
 
 #: attribute name → polygen schemes the attribute flowed through.
 Lineage = Dict[str, FrozenSet[str]]
+
+#: (relation, lineage, timing) — one finished row.
+_Outcome = Tuple[PolygenRelation, Lineage, "RowTiming"]
+#: (row, outcome, error) — one local row's completion, as a worker reports it.
+_Completion = Tuple[MatrixRow, Optional[_Outcome], Optional[BaseException]]
 
 
 @dataclass(frozen=True)
@@ -128,11 +136,9 @@ class ExecutionTrace:
 class Executor:
     """Evaluates Intermediate Operation Matrices."""
 
-    #: Worker label the streaming path stamps on row timings.  The chunk
-    #: pipeline runs inline on the submitting thread, so the serial engine
-    #: keeps its historical "serial" label; the concurrent runtime
-    #: overrides this to mark pipelined rows distinctly.
-    _stream_worker = "serial"
+    #: Worker label of the rows this executor runs on the calling thread
+    #: (inline local rows, PQP rows and streamed spines).
+    _inline_worker = "serial"
 
     def __init__(
         self,
@@ -164,27 +170,40 @@ class Executor:
         on_result: Optional[Callable[[PolygenRelation], None]] = None,
         on_chunk: Optional[Callable[[PolygenRelation], None]] = None,
         stream_chunk_size: Optional[int] = None,
-        wire_format: str = "auto",
     ) -> ExecutionTrace:
-        """Evaluate every row in order; the last row is the query result.
+        """Evaluate the plan in dependency (DAG) order; the last *listed*
+        row is the query result.
 
-        ``cancel`` aborts cooperatively between rows with
-        :class:`~repro.errors.QueryCancelledError`; ``on_result`` fires
-        with the final relation the moment the result row completes —
-        the same service-layer hooks the concurrent engine honours, so a
-        federation can drive either engine through one call shape.
+        A row starts the moment every ``R(#)`` it consumes is ready.  Local
+        rows go through :meth:`_local_dispatcher` — inline on the calling
+        thread here, to per-database workers in
+        :class:`~repro.pqp.runtime.ConcurrentExecutor` — and PQP rows run
+        on the calling thread as their inputs complete.
+
+        ``cancel`` aborts cooperatively with
+        :class:`~repro.errors.QueryCancelledError`: it is checked before
+        every dispatch and at the head of every queued local job, so a
+        cancelled plan stops issuing LQP traffic without interrupting an
+        in-flight local call.  ``on_result`` fires with the final relation
+        the instant the result row completes.
 
         ``on_chunk`` opts into pipelined streaming: when the plan is a
         streamable spine (:mod:`repro.pqp.stream`) it fires with each
         batch of fresh result rows *while the scan is still in flight*,
-        ``stream_chunk_size`` sizes the batches, and ``wire_format``
-        picks the chunk encoding of a remote head (``"auto"``/``"json"``/
-        ``"binary"``).  Non-spine plans ignore all three and execute
-        whole-relation as before — ``on_result`` still delivers.
+        and ``stream_chunk_size`` sizes the batches.  Non-spine plans
+        ignore both and execute whole-relation — ``on_result`` still
+        delivers.
+
+        ``execute`` is reentrant: a federation shares one instance across
+        many coordinator threads, each call keeping its state on its own
+        stack.
         """
         if not len(iom):
             raise ExecutionError("cannot execute an empty operation matrix")
         if on_chunk is not None:
+            # A streamable spine is a linear chain — it has no parallelism
+            # to exploit, so pipelined chunk flow (first rows before the
+            # scan completes) strictly wins.
             chain = pqp_stream.streamable_spine(iom)
             if chain is not None:
                 return self._execute_streaming(
@@ -194,59 +213,155 @@ class Executor:
                     on_result=on_result,
                     on_chunk=on_chunk,
                     stream_chunk_size=stream_chunk_size,
-                    wire_format=wire_format,
                 )
+        dag = PlanDAG.from_iom(iom)
         final = iom.rows[-1].result.index
         results: Dict[int, PolygenRelation] = {}
         lineages: Dict[int, Lineage] = {}
         timings: Dict[int, RowTiming] = {}
-        # Row spans hang off the ambient span (the federation's execute
-        # stage).  With no ambient span — a bare executor — every span
-        # branch below is skipped outright, keeping the untraced hot path
-        # at its historical two clock reads per row.
-        trace_parent = current_span()
+        completions: "queue.SimpleQueue[_Completion]" = queue.SimpleQueue()
+        waiting = {index: len(set(dag.predecessors(index))) for index in dag.indices}
+        ready_pqp: deque = deque()
+        #: Set on failure/cancel so this plan's queued jobs on a *shared*
+        #: pool degrade to no-ops instead of issuing pointless LQP traffic.
+        halt = threading.Event()
+        # Row spans parent on the ambient span, captured here because
+        # pooled rows run on worker threads where the caller's contextvar
+        # is invisible.  With no ambient span — a bare executor — rows
+        # skip span work entirely.
+        parent = current_span()
         origin = time.perf_counter()
-        for row in iom:
+
+        def abandoned() -> bool:
+            return halt.is_set() or (cancel is not None and cancel.is_set())
+
+        def job(row: MatrixRow, worker: str) -> None:
+            """Run one ready local row; the outcome goes to ``completions``."""
+            if abandoned():
+                completions.put((row, None, QueryCancelledError(
+                    f"row {row.result} skipped: plan abandoned"
+                )))
+                return
+            try:
+                outcome = self._run_row(row, results, lineages, parent, origin, worker)
+            except BaseException as exc:  # re-raised on the calling thread
+                completions.put((row, None, exc))
+                return
+            completions.put((row, outcome, None))
+
+        def complete(row: MatrixRow, outcome: _Outcome) -> None:
+            """Record a finished row and dispatch what it unblocks."""
+            index = row.result.index
+            results[index], lineages[index], timings[index] = outcome
+            if index == final and on_result is not None:
+                on_result(results[index])
+            for successor in dict.fromkeys(dag.successors(index)):
+                waiting[successor] -= 1
+                if waiting[successor] == 0:
+                    dispatch(successor)
+
+        def consume(completion: _Completion) -> None:
+            row, outcome, error = completion
+            if error is not None:
+                raise error
+            complete(row, outcome)
+
+        def dispatch(index: int) -> None:
+            row = dag.row(index)
+            if row.is_local:
+                dispatch_local(row, job)
+            else:
+                ready_pqp.append(row)
+
+        def check_cancel() -> None:
             if cancel is not None and cancel.is_set():
                 raise QueryCancelledError("query cancelled")
-            span = (
-                trace_parent.child(
-                    f"row {row.result}",
-                    op=row.op.value,
-                    location=row.el or "PQP",
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
-            try:
-                with use_span(span) if span is not None else nullcontext():
-                    relation, lineage = self._execute_row(row, results, lineages)
-            except ExecutionError as exc:
-                if span is not None:
-                    span.end(exc)
-                raise
-            except Exception as exc:
-                if span is not None:
-                    span.end(exc)
-                raise ExecutionError(
-                    f"row {row.result} ({row.op.value}) failed: {exc}"
-                ) from exc
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            results[row.result.index] = relation
-            lineages[row.result.index] = lineage
-            timings[row.result.index] = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location=row.el or "PQP",
-                worker="serial",
-            )
-            if row.result.index == final and on_result is not None:
-                on_result(relation)
+
+        # Wake periodically when cancellable, so a cancel set from another
+        # thread cannot be missed while blocked on a local row.
+        wait = 0.05 if cancel is not None else None
+        try:
+            with self._local_dispatcher() as dispatch_local:
+                check_cancel()
+                for index in sorted(dag.roots()):
+                    dispatch(index)
+                while len(results) < len(dag):
+                    check_cancel()
+                    # Drain finished local rows first so freshly unblocked
+                    # work reaches idle LQP workers before the PQP computes.
+                    try:
+                        completion = completions.get_nowait()
+                    except queue.Empty:
+                        pass
+                    else:
+                        consume(completion)
+                        continue
+                    if ready_pqp:
+                        row = ready_pqp.popleft()
+                        outcome = self._run_row(
+                            row, results, lineages, parent, origin, self._inline_worker
+                        )
+                        complete(row, outcome)
+                        continue
+                    # Nothing runnable at the PQP: block until a local row
+                    # finishes.
+                    try:
+                        consume(completions.get(timeout=wait))
+                    except queue.Empty:
+                        continue
+        except BaseException:
+            halt.set()
+            raise
         return ExecutionTrace(
             results[final], results, lineages[final], timings, lineages=lineages
         )
+
+    @contextmanager
+    def _local_dispatcher(self):
+        """Yield ``dispatch(row, job)``, which starts a ready local row.
+
+        The base executor calls ``job`` inline on the calling thread — the
+        paper's row-at-a-time PQP.  Subclasses override this one step to
+        hand the row to worker threads instead."""
+        yield lambda row, job: job(row, self._inline_worker)
+
+    def _run_row(
+        self,
+        row: MatrixRow,
+        results: Dict[int, PolygenRelation],
+        lineages: Dict[int, Lineage],
+        parent: Optional[Span],
+        origin: float,
+        worker: str,
+    ) -> _Outcome:
+        """Run one plan row under its span and time it.
+
+        The one place a non-streamed row gets its span, its
+        :class:`RowTiming` and — for any failure that is not already an
+        :class:`~repro.errors.ExecutionError` — its row-context wrapper.
+        """
+        location = row.el or "PQP"
+        span = (
+            parent.child(f"row {row.result}", op=row.op.value, location=location)
+            if parent is not None
+            else None
+        )
+        started = time.perf_counter() - origin
+        try:
+            with use_span(span) if span is not None else nullcontext():
+                relation, lineage = self._execute_row(row, results, lineages)
+        except Exception as exc:
+            if span is not None:
+                span.end(exc)
+            if isinstance(exc, ExecutionError):
+                raise
+            raise ExecutionError(
+                f"row {row.result} ({row.op.value}) failed: {exc}"
+            ) from exc
+        if span is not None:
+            span.set(tuples=len(relation)).end()
+        timing = RowTiming(started, time.perf_counter() - origin, location, worker)
+        return relation, lineage, timing
 
     # ------------------------------------------------------------------
 
@@ -348,7 +463,6 @@ class Executor:
         on_result: Optional[Callable[[PolygenRelation], None]],
         on_chunk: Callable[[PolygenRelation], None],
         stream_chunk_size: Optional[int],
-        wire_format: str,
     ) -> ExecutionTrace:
         """Evaluate a spine plan chunk-at-a-time (:mod:`repro.pqp.stream`).
 
@@ -359,7 +473,7 @@ class Executor:
         through the PQP stages as they arrive.  The returned trace is
         byte-identical to whole-relation execution: same intermediate
         results, tags, lineages; only the timings differ (every row spans
-        the stream, worker ``"stream"``).
+        the stream).
         """
         head = chain[0]
         if not isinstance(head.lhr, LocalOperand):
@@ -415,9 +529,7 @@ class Executor:
         check_cancel()
         try:
             with use_span(span) if span is not None else nullcontext():
-                streamer = self._chunk_streamer(
-                    lqp, head, columns, chunk_size, wire_format, cancel
-                )
+                streamer = self._chunk_streamer(lqp, head, columns, chunk_size, cancel)
                 if streamer is not None:
                     wire_stream = streamer()
                     delivered = False
@@ -463,7 +575,7 @@ class Executor:
                 start=0.0,
                 finish=finish,
                 location=row.el or "PQP",
-                worker=self._stream_worker,
+                worker=self._inline_worker,
             )
             for row in chain
         }
@@ -476,15 +588,11 @@ class Executor:
         )
 
     @staticmethod
-    def _chunk_streamer(lqp, row: MatrixRow, columns, chunk_size, wire_format, cancel):
+    def _chunk_streamer(lqp, row: MatrixRow, columns, chunk_size, cancel):
         """A thunk opening a wire chunk stream for the head row, or ``None``
         when this LQP cannot stream (duck-typed: wrappers and in-process
         engines simply lack the methods)."""
-        kwargs = {
-            "chunk_size": chunk_size,
-            "wire_format": None if wire_format in (None, "auto") else wire_format,
-            "abort": cancel,
-        }
+        kwargs = {"chunk_size": chunk_size, "abort": cancel}
         if columns is not None:
             kwargs["columns"] = columns
         if row.op is Operation.RETRIEVE:

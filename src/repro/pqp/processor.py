@@ -19,13 +19,12 @@ constructor flags become that federation's default
 :class:`~repro.service.options.QueryOptions`, and each ``run_*`` call is
 the federation's synchronous :meth:`~repro.service.federation.
 PolygenFederation.run` on the calling thread — no coordinator threads are
-ever spawned by the facade.  Signature and behaviour are unchanged —
-including the serial-by-default engine — with one improvement inherited
-from the service layer: a ``concurrent=True`` processor now keeps its
-per-database (daemon) worker threads warm across queries instead of
-spawning and joining them per ``execute()``.  Multi-user work (concurrent
-sessions, future-like handles, streaming cursors, service stats) lives on
-:class:`~repro.service.federation.PolygenFederation` directly.
+ever spawned by the facade.  Like the federation it always runs the pooled
+executor: local rows go to the private federation's per-database (daemon)
+worker threads, which stay warm across queries.  Multi-user work
+(concurrent sessions, future-like handles, streaming cursors, service
+stats) lives on :class:`~repro.service.federation.PolygenFederation`
+directly.
 """
 
 from __future__ import annotations
@@ -38,31 +37,17 @@ from repro.core.expression import Expression
 from repro.integration.domains import TransformRegistry
 from repro.integration.identity import IdentityResolver
 from repro.lqp.registry import LQPRegistry
-from repro.pqp.executor import Executor
 from repro.pqp.matrix import IntermediateOperationMatrix, PolygenOperationMatrix
 from repro.pqp.optimizer import OptimizationReport, QueryOptimizer, ShapeChoice
-from repro.pqp.result import QueryResult as _QueryResult
+from repro.pqp.result import QueryResult
+from repro.pqp.runtime import ConcurrentExecutor
 from repro.translate.translator import translate_sql
 
 if TYPE_CHECKING:  # pragma: no cover - the service imports this package's
-    # submodules, so the runtime imports below stay inside __init__.
+    # submodules, so the runtime import stays inside __init__.
     from repro.service.federation import PolygenFederation
-    from repro.pqp.result import QueryResult
 
-__all__ = ["PolygenQueryProcessor", "QueryResult"]
-
-
-def __getattr__(name):
-    # ``QueryResult`` lived here before it moved to repro.pqp.result; the
-    # legacy import path survives as a warn-once shim.
-    if name == "QueryResult":
-        from repro._compat import warn_moved
-
-        warn_moved("repro.pqp.processor.QueryResult", "repro.pqp.result")
-        return _QueryResult
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
+__all__ = ["PolygenQueryProcessor"]
 
 
 class PolygenQueryProcessor:
@@ -77,23 +62,17 @@ class PolygenQueryProcessor:
         policy: ConflictPolicy = ConflictPolicy.DROP,
         optimize: bool | str = True,
         materialize_full_scheme: bool = False,
-        concurrent: bool = False,
         pushdown: bool = True,
         prune_projections: bool = False,
     ):
-        """``concurrent`` selects the execution engine behind the shared
-        ``execute(iom) -> ExecutionTrace`` API: the row-by-row serial
-        :class:`~repro.pqp.executor.Executor` (default, and what the paper
-        describes) or the DAG-driven
-        :class:`~repro.pqp.runtime.ConcurrentExecutor` that overlaps
-        autonomous LQPs.  ``pushdown``/``prune_projections`` gate the
-        optimizer's semantic rewrites; both produce tag-identical final
-        results, but projection pruning narrows intermediate relations, so
-        it defaults off to keep the paper's printed intermediate tables
-        reproducible.  ``optimize="cost"`` selects the cost-based mode:
-        plan shapes are scored by simulated makespan under the private
-        federation's calibrated per-LQP cost models — learned from this
-        processor's own completed queries — and the cheapest executes."""
+        """``pushdown``/``prune_projections`` gate the optimizer's semantic
+        rewrites; both produce tag-identical final results, but projection
+        pruning narrows intermediate relations, so it defaults off to keep
+        the paper's printed intermediate tables reproducible.
+        ``optimize="cost"`` selects the cost-based mode: plan shapes are
+        scored by simulated makespan under the private federation's
+        calibrated per-LQP cost models — learned from this processor's own
+        completed queries — and the cheapest executes."""
         # Imported here, not at module scope: the service layer imports
         # pqp submodules, and this facade is part of the pqp package.
         from repro.service.federation import PolygenFederation
@@ -101,9 +80,7 @@ class PolygenQueryProcessor:
 
         self.schema = schema
         self.registry = registry
-        self.concurrent = concurrent
         self._options = QueryOptions(
-            engine="concurrent" if concurrent else "serial",
             optimize=optimize,
             pushdown=pushdown,
             prune_projections=prune_projections,
@@ -131,8 +108,8 @@ class PolygenQueryProcessor:
         )
 
     @property
-    def executor(self) -> Executor:
-        """The execution engine (serial or concurrent) behind this PQP."""
+    def executor(self) -> ConcurrentExecutor:
+        """The pooled executor behind this PQP."""
         return self._federation.executor_for(self._options)
 
     @property
@@ -148,8 +125,8 @@ class PolygenQueryProcessor:
 
     def close(self) -> None:
         """Release the private federation's worker threads.  Optional —
-        the facade itself spawns none, and the concurrent engine's pool
-        workers are daemons — but tidy for long-lived processes."""
+        the facade itself spawns none, and the pool workers are daemons —
+        but tidy for long-lived processes."""
         self._federation.close()
 
     def __enter__(self) -> "PolygenQueryProcessor":

@@ -1,11 +1,18 @@
-"""The concurrent federated execution runtime.
+"""Pooled dispatch for the federated execution loop.
 
 The paper's Figure-1 architecture routes local operations to *autonomous*
-LQPs — engines that serve requests independently of one another.  The
-serial :class:`~repro.pqp.executor.Executor` walks the Intermediate
-Operation Matrix row by row and therefore waits on every local round-trip;
-:class:`ConcurrentExecutor` instead drives the plan DAG
-(:class:`~repro.pqp.plandag.PlanDAG`) event-driven:
+LQPs — engines that serve requests independently of one another.  The one
+execution loop, :meth:`repro.pqp.executor.Executor.execute`, drives the
+plan DAG (:class:`~repro.pqp.plandag.PlanDAG`): a row starts the moment
+every ``R(#)`` it consumes is ready, and PQP rows (the polygen algebra over
+earlier results) run on the calling thread — within one plan the PQP is a
+serial resource, exactly as :func:`repro.pqp.schedule.schedule_plan`
+models it.
+
+The base executor runs each ready local row inline.
+:class:`ConcurrentExecutor` overrides only that dispatch step: it hands
+the row to its database's worker group in a
+:class:`~repro.pqp.pool.WorkerPool`, so rows at different LQPs overlap.
 
 - every local database gets **one worker thread** (matching the
   single-connection assumption of the scheduling model: rows at the same
@@ -13,103 +20,45 @@ Operation Matrix row by row and therefore waits on every local round-trip;
   ``native_concurrency > 1`` (a network-multiplexed
   :class:`~repro.net.client.RemoteLQP`), in which case its worker group
   widens to that many threads and same-database rows overlap in flight
-  over the LQP's single multiplexed connection,
-- a local row (Retrieve / single-comparison Select) is dispatched to its
-  database's worker the moment every ``R(#)`` it consumes is ready,
-- PQP rows (the polygen algebra over earlier results) run on the
-  coordinating thread as their inputs complete — within one plan the PQP
-  is a serial resource, exactly as :func:`repro.pqp.schedule.schedule_plan`
-  models it.
+  over the LQP's single multiplexed connection;
+- a shard family widens its database's group to the family's width, so
+  all K partial scans are in flight together (:mod:`repro.pqp.shard`).
 
-The worker threads live in a :class:`~repro.pqp.pool.WorkerPool`.  A
-standalone ``ConcurrentExecutor`` builds a private pool per ``execute()``
-call and tears it down afterwards (the historical behaviour, and the
-baseline the service benchmark measures against); an executor constructed
+A standalone ``ConcurrentExecutor`` builds a private pool per
+``execute()`` call and tears it down afterwards; an executor constructed
 with a shared ``pool`` — how :class:`~repro.service.federation.
 PolygenFederation` runs it — dispatches into long-lived workers that
 survive across queries, so many plans execute at once with zero thread
 churn and same-database rows of *different* queries queue on that
 database's single connection.
 
-Results are bit-for-bit the serial executor's — same relations, same tags,
-same lineage — because every row runs the same columnar code path; only
-the wall-clock interleaving differs.  The returned
-:class:`~repro.pqp.executor.ExecutionTrace` carries measured per-row
-timings, so a simulated :class:`~repro.pqp.schedule.PlanSchedule` can be
-validated against what actually happened.
-
-Two keyword hooks support the service layer's handles and cursors:
-``cancel`` (a :class:`threading.Event`) aborts cooperatively — checked
-before every dispatch and at the head of every queued local job, so a
-cancelled plan stops issuing LQP traffic without interrupting an in-flight
-local call — and ``on_result`` fires with the final relation the instant
-the plan's result row completes, before the remaining bookkeeping, which
-is what lets a streaming cursor hand out rows while the trace is still
-being assembled.
+Results are bit-for-bit the inline executor's — same relations, same tags,
+same lineage — because every row runs the same code path; only the
+wall-clock interleaving and the timings' worker labels differ.
 """
 
 from __future__ import annotations
 
-import queue
 import threading
-import time
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict
 
-from repro.errors import ExecutionError, QueryCancelledError
-from repro.obs.trace import current_span, use_span
-from repro.pqp import stream as pqp_stream
-from repro.pqp.executor import ExecutionTrace, Executor, Lineage, RowTiming
-from repro.pqp.matrix import IntermediateOperationMatrix, MatrixRow
-from repro.pqp.plandag import PlanDAG
-from repro.pqp.pool import WorkerPool as _WorkerPool
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pqp.pool import WorkerPool
+from repro.pqp.executor import Executor
+from repro.pqp.pool import WorkerPool
 
 __all__ = ["ConcurrentExecutor"]
 
 
-def __getattr__(name):
-    # ``WorkerPool`` lived here before it moved to repro.pqp.pool; the
-    # legacy import path survives as a warn-once shim.
-    if name == "WorkerPool":
-        from repro._compat import warn_moved
-
-        warn_moved("repro.pqp.runtime.WorkerPool", "repro.pqp.pool")
-        return _WorkerPool
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-from repro.core.relation import PolygenRelation
-
-#: (row, relation, lineage, timing, error) — one completed local row.
-_Completion = Tuple[
-    MatrixRow,
-    Optional[PolygenRelation],
-    Optional[Lineage],
-    Optional[RowTiming],
-    Optional[BaseException],
-]
-
-
 class ConcurrentExecutor(Executor):
-    """DAG-driven executor dispatching local rows to per-database workers.
+    """An :class:`~repro.pqp.executor.Executor` that runs local rows on
+    per-database worker threads.
 
-    Drop-in for :class:`~repro.pqp.executor.Executor`: same constructor
-    (plus an optional shared ``pool``), same ``execute(iom) ->
-    ExecutionTrace`` contract, tag-identical results.  Unlike the serial
-    executor it evaluates rows in DAG order, so a plan whose rows are
-    listed out of dependency order still runs — but the *query result*
-    remains the last **listed** row in either engine (the matrix
-    convention), so list the result row last.
-
-    ``execute`` is reentrant: a federation shares one instance across many
-    coordinator threads, each call keeping its state on its own stack.
+    Same constructor (plus an optional shared ``pool``), same
+    ``execute(iom) -> ExecutionTrace`` contract, tag-identical results.
     """
 
-    _stream_worker = "stream"
+    #: Only PQP rows and streamed spines run on the calling thread here.
+    _inline_worker = "pqp"
 
     def __init__(self, *args, pool: WorkerPool | None = None, **kwargs):
         super().__init__(*args, **kwargs)
@@ -121,244 +70,27 @@ class ConcurrentExecutor(Executor):
         built (the standalone, churn-per-query configuration)."""
         return self._pool
 
-    def execute(
-        self,
-        iom: IntermediateOperationMatrix,
-        *,
-        cancel: threading.Event | None = None,
-        on_result: Callable[[PolygenRelation], None] | None = None,
-        on_chunk: Callable[[PolygenRelation], None] | None = None,
-        stream_chunk_size: int | None = None,
-        wire_format: str = "auto",
-    ) -> ExecutionTrace:
-        if not len(iom):
-            raise ExecutionError("cannot execute an empty operation matrix")
-        if on_chunk is not None:
-            # A streamable spine is a linear chain — it has no parallelism
-            # for the DAG scheduler to exploit, so pipelined chunk flow
-            # (first rows before the scan completes) strictly wins.  The
-            # shared streaming path lives on the serial base class.
-            chain = pqp_stream.streamable_spine(iom)
-            if chain is not None:
-                return self._execute_streaming(
-                    iom,
-                    chain,
-                    cancel=cancel,
-                    on_result=on_result,
-                    on_chunk=on_chunk,
-                    stream_chunk_size=stream_chunk_size,
-                    wire_format=wire_format,
-                )
-        dag = PlanDAG.from_iom(iom)
-        final = iom.rows[-1].result.index
-
-        results: Dict[int, PolygenRelation] = {}
-        lineages: Dict[int, Lineage] = {}
-        timings: Dict[int, RowTiming] = {}
-        completions: "queue.Queue[_Completion]" = queue.Queue()
-        waiting: Dict[int, int] = {
-            index: len(set(dag.predecessors(index))) for index in dag.indices
-        }
-        ready_pqp: deque = deque()
-        #: Set on failure/cancel so this plan's queued jobs on a *shared*
-        #: pool degrade to no-ops instead of issuing pointless LQP traffic.
-        halt = threading.Event()
-        #: Row spans parent on the coordinator's ambient span.  Captured
-        #: here because local rows run on pool worker threads, where the
-        #: coordinator's contextvar is invisible; run_local re-enters it
-        #: explicitly so a RemoteLQP call finds the row span ambient and
-        #: propagates its ids over the wire.
-        trace_parent = current_span()
-        origin = time.perf_counter()
-
-        def abandoned() -> bool:
-            return halt.is_set() or (cancel is not None and cancel.is_set())
-
-        def run_local(row: MatrixRow) -> None:
-            if abandoned():
-                completions.put((row, None, None, None, QueryCancelledError(
-                    f"row {row.result} skipped: plan abandoned"
-                )))
-                return
-            span = (
-                trace_parent.child(
-                    f"row {row.result}",
-                    op=row.op.value,
-                    location=row.el or "PQP",
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
-            try:
-                if span is not None:
-                    with use_span(span):
-                        relation, lineage = self._execute_row(
-                            row, results, lineages
-                        )
-                else:
-                    relation, lineage = self._execute_row(row, results, lineages)
-            except BaseException as exc:  # propagated to the coordinator
-                if span is not None:
-                    span.end(exc)
-                completions.put((row, None, None, None, exc))
-                return
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            timing = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location=row.el or "PQP",
-                worker=threading.current_thread().name,
-            )
-            completions.put((row, relation, lineage, timing, None))
-
-        pool = self._pool
-        owned = pool is None
-        if owned:
-            pool = _WorkerPool()
-
-        #: database → worker-group width, resolved once per plan.  An
-        #: in-process LQP stays at the paper's single connection (width 1);
-        #: a RemoteLQP advertises its multiplexer's concurrency and gets
-        #: that many pool workers, so same-database rows overlap in flight.
+    @contextmanager
+    def _local_dispatcher(self):
+        pool = WorkerPool() if self._pool is None else self._pool
+        #: database → native worker-group width, resolved once per plan.
         widths: Dict[str, int] = {}
 
-        def native_width(database: str) -> int:
-            width = widths.get(database)
+        def dispatch(row, job) -> None:
+            width = widths.get(row.el)
             if width is None:
-                width = max(1, self._registry.get(database).native_concurrency)
-                widths[database] = width
-            return width
-
-        def dispatch(index: int) -> None:
-            row = dag.row(index)
-            if row.is_local:
-                # A shard family widens its database's group to K so all K
-                # partial scans are in flight together (pqp/shard.py).
-                width = native_width(row.el)
-                if row.shard:
-                    width = max(width, row.shard[1])
-                pool.submit(
-                    row.el,
-                    lambda row=row: run_local(row),
-                    width=width,
-                )
-            else:
-                ready_pqp.append(row)
-
-        def complete(
-            row: MatrixRow,
-            relation: PolygenRelation,
-            lineage: Lineage,
-            timing: RowTiming,
-        ) -> List[int]:
-            index = row.result.index
-            results[index] = relation
-            lineages[index] = lineage
-            timings[index] = timing
-            if index == final and on_result is not None:
-                on_result(relation)
-            released = []
-            for successor in dict.fromkeys(dag.successors(index)):
-                waiting[successor] -= 1
-                if waiting[successor] == 0:
-                    released.append(successor)
-            return released
-
-        def fail(row: MatrixRow, error: BaseException) -> ExecutionError:
-            if isinstance(error, ExecutionError):
-                return error
-            wrapped = ExecutionError(
-                f"row {row.result} ({row.op.value}) failed: {error}"
+                width = max(1, self._registry.get(row.el).native_concurrency)
+                widths[row.el] = width
+            if row.shard:
+                width = max(width, row.shard[1])
+            pool.submit(
+                row.el,
+                lambda: job(row, threading.current_thread().name),
+                width=width,
             )
-            wrapped.__cause__ = error
-            return wrapped
-
-        done = 0
-
-        def check_cancel() -> None:
-            if cancel is not None and cancel.is_set():
-                raise QueryCancelledError("query cancelled")
-
-        def consume(completion: _Completion) -> None:
-            """Record one finished local row and dispatch what it unblocks."""
-            nonlocal done
-            row, relation, lineage, timing, error = completion
-            if error is not None:
-                raise fail(row, error)
-            done += 1
-            for released in complete(row, relation, lineage, timing):
-                dispatch(released)
-
-        def run_pqp(row: MatrixRow) -> None:
-            nonlocal done
-            span = (
-                trace_parent.child(
-                    f"row {row.result}", op=row.op.value, location="PQP"
-                )
-                if trace_parent is not None
-                else None
-            )
-            started = time.perf_counter() - origin
-            try:
-                relation, lineage = self._execute_row(row, results, lineages)
-            except Exception as exc:
-                if span is not None:
-                    span.end(exc)
-                raise fail(row, exc)
-            if span is not None:
-                span.set(tuples=len(relation)).end()
-            timing = RowTiming(
-                start=started,
-                finish=time.perf_counter() - origin,
-                location="PQP",
-                worker="pqp",
-            )
-            done += 1
-            for released in complete(row, relation, lineage, timing):
-                dispatch(released)
 
         try:
-            check_cancel()
-            for index in sorted(dag.roots()):
-                dispatch(index)
-            total = len(dag)
-            while done < total:
-                check_cancel()
-                # Drain finished local rows first so freshly unblocked work
-                # reaches the (idle) LQP workers before the PQP computes.
-                drained = False
-                while True:
-                    try:
-                        completion = completions.get_nowait()
-                    except queue.Empty:
-                        break
-                    drained = True
-                    consume(completion)
-                if drained:
-                    continue
-                if ready_pqp:
-                    run_pqp(ready_pqp.popleft())
-                    continue
-                # Nothing runnable at the PQP: block until an LQP finishes
-                # (waking periodically, when cancellable, so a cancel set
-                # from another thread cannot be missed).
-                try:
-                    consume(
-                        completions.get(
-                            timeout=0.05 if cancel is not None else None
-                        )
-                    )
-                except queue.Empty:
-                    continue
-        except BaseException:
-            halt.set()
-            raise
+            yield dispatch
         finally:
-            if owned:
+            if pool is not self._pool:
                 pool.close(wait=True)
-
-        return ExecutionTrace(
-            results[final], results, lineages[final], timings, lineages=lineages
-        )

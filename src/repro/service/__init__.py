@@ -17,9 +17,9 @@ face:
   ``done()``, ``cancel()``) with a streaming
   :class:`~repro.service.cursor.Cursor` (``fetchmany`` / iteration) that
   hands out rows the instant the plan's result node completes.
-- :class:`~repro.service.options.QueryOptions` — the engine / pushdown /
-  pruning / conflict-policy knobs as one immutable dataclass, defaulted on
-  the federation and overridable per submit.
+- :class:`~repro.service.options.QueryOptions` — the optimizer /
+  pushdown / pruning / conflict-policy / cache knobs as one immutable
+  dataclass, defaulted on the federation and overridable per submit.
 
 Exports resolve lazily so ``import repro.service`` stays light and no
 module of this package is forced to load before it is used.
@@ -44,7 +44,7 @@ _EXPORTS = {
     "QueryHandle": ("repro.service.handle", "QueryHandle"),
     "Cursor": ("repro.service.cursor", "Cursor"),
     "QueryOptions": ("repro.service.options", "QueryOptions"),
-    "WorkerPool": ("repro.service.pool", "WorkerPool"),
+    "WorkerPool": ("repro.pqp.pool", "WorkerPool"),
 }
 
 

@@ -44,7 +44,7 @@ def connect(
     :meth:`~repro.lqp.registry.LQPRegistry.register` accepts).
     ``option_overrides`` specialize the session's default
     :class:`~repro.service.options.QueryOptions` — e.g.
-    ``connect(url, wire_format="binary", stream_chunk_size=256)``.
+    ``connect(url, cache="on", stream_chunk_size=256)``.
 
     For URL targets, ``schema=`` supplies the polygen schema explicitly;
     without it, the first ``polygen://`` server's published schema is

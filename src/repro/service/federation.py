@@ -20,10 +20,11 @@ local databases — realized as one long-lived object:
   federation's defaults rather than constructor flags.
 
 Intra-query semantics are untouched: each submitted plan runs through the
-very same serial or DAG-driven executor code path, so results — data,
-headings *and tags* — are bit-for-bit what the blocking
-:class:`~repro.pqp.processor.PolygenQueryProcessor` produces (that facade
-is, in fact, now a single-session federation).  What changes is
+one DAG-driven execution loop, its local rows dispatched to the shared
+pool, so results — data, headings *and tags* — are bit-for-bit what the
+inline :class:`~repro.pqp.executor.Executor` produces (and the blocking
+:class:`~repro.pqp.processor.PolygenQueryProcessor` facade is, in fact, a
+single-session federation).  What changes is
 *inter-query* behaviour: plans from many sessions execute concurrently,
 their local rows interleaving on the shared per-database workers, which is
 exactly the serialization the scheduling model charges for.
@@ -54,6 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only; service never needs
 
 from repro.algebra_lang.parser import parse_expression
 from repro.catalog.schema import PolygenSchema
+from repro.core.cell import ConflictPolicy
 from repro.core.expression import Expression
 from repro.errors import ExecutionError, QueryCancelledError, ServiceClosedError
 from repro.integration.domains import TransformRegistry, default_registry
@@ -64,7 +66,7 @@ from repro.obs.events import EventLog, slow_query_event
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer, use_span
 from repro.pqp.calibrate import CostCalibrator
-from repro.pqp.executor import ExecutionTrace, Executor
+from repro.pqp.executor import ExecutionTrace
 from repro.pqp.fingerprint import PlanFingerprints, fingerprint_plan, splice_cached
 from repro.pqp.interpreter import PolygenOperationInterpreter
 from repro.pqp.matrix import (
@@ -138,9 +140,9 @@ class FederationStats:
     def utilization(self) -> Dict[str, float]:
         """location → fraction of the federation's uptime it spent busy.
 
-        Can exceed 1.0: serial-engine queries run their local rows on the
-        coordinating thread rather than the pool, so several threads may
-        be inside the same location at once.
+        Can exceed 1.0: a location whose LQP advertises native
+        concurrency (or serves a shard family) runs several rows at once
+        on a widened worker group.
         """
         if self.uptime_seconds <= 0:
             return {location: 0.0 for location in self.busy_by_location}
@@ -262,7 +264,7 @@ class PolygenFederation:
         self._lock = threading.Lock()
         self._interpreters: Dict[bool, PolygenOperationInterpreter] = {}
         self._optimizers: Dict[Tuple[bool, bool], QueryOptimizer] = {}
-        self._executors: Dict[Tuple[str, object], Executor] = {}
+        self._executors: Dict[ConflictPolicy, ConcurrentExecutor] = {}
         #: Weak: a session a client drops without close() must not be
         #: pinned (with its last handles and results) for the life of a
         #: long-running federation.
@@ -484,37 +486,26 @@ class PolygenFederation:
                 self._optimizers[key] = optimizer
             return optimizer
 
-    def executor_for(self, options: QueryOptions | None = None) -> Executor:
-        """The (cached, reentrant) execution engine ``options`` selects.
-
-        Concurrent engines dispatch into the federation's shared worker
-        pool; serial engines run on the submitting coordinator thread.
-        """
-        options = options or self.defaults
-        key = (options.engine, options.policy)
+    def executor_for(
+        self, options: QueryOptions | None = None
+    ) -> ConcurrentExecutor:
+        """The (cached, reentrant) executor for ``options``' conflict
+        policy, dispatching local rows into the federation's shared
+        worker pool."""
+        policy = (options or self.defaults).policy
         with self._lock:
-            executor = self._executors.get(key)
+            executor = self._executors.get(policy)
             if executor is None:
-                if options.engine == "concurrent":
-                    executor = ConcurrentExecutor(
-                        self.schema,
-                        self.registry,
-                        resolver=self.resolver,
-                        transforms=self.transforms,
-                        policy=options.policy,
-                        tag_pool=self.tag_pool,
-                        pool=self._pool,
-                    )
-                else:
-                    executor = Executor(
-                        self.schema,
-                        self.registry,
-                        resolver=self.resolver,
-                        transforms=self.transforms,
-                        policy=options.policy,
-                        tag_pool=self.tag_pool,
-                    )
-                self._executors[key] = executor
+                executor = ConcurrentExecutor(
+                    self.schema,
+                    self.registry,
+                    resolver=self.resolver,
+                    transforms=self.transforms,
+                    policy=policy,
+                    tag_pool=self.tag_pool,
+                    pool=self._pool,
+                )
+                self._executors[policy] = executor
             return executor
 
     # -- submission ---------------------------------------------------------
@@ -564,8 +555,8 @@ class PolygenFederation:
         The single-user path: no coordinator is involved (so a process
         that only ever calls ``run`` — e.g. through the
         :class:`~repro.pqp.processor.PolygenQueryProcessor` facade —
-        holds no service threads beyond the worker pool the concurrent
-        engine warms up).  Counted in :meth:`stats` like any submission.
+        holds no service threads beyond the worker pool its queries warm
+        up).  Counted in :meth:`stats` like any submission.
         """
         options = options or self.defaults
         kind = self._classify(query)
@@ -615,7 +606,6 @@ class PolygenFederation:
         root = self.tracer.start(
             "query",
             kind=kind,
-            engine=options.engine,
             **({"session": session} if session else {}),
         )
         try:
@@ -731,14 +721,13 @@ class PolygenFederation:
                     cache_hit=True,
                 )
         executor = self.executor_for(options)
-        with self.tracer.span("execute", engine=options.engine) as exec_span:
+        with self.tracer.span("execute") as exec_span:
             trace = executor.execute(
                 iom,
                 cancel=cancel,
                 on_result=None if cursor is None else cursor._feed,
                 on_chunk=None if cursor is None else cursor._feed_chunk,
                 stream_chunk_size=options.stream_chunk_size,
-                wire_format=options.wire_format,
             )
             exec_span.set(rows=len(iom), tuples=len(trace.relation))
         # Feed the completed trace back into the calibrator so the next
@@ -907,7 +896,6 @@ class PolygenFederation:
                 busy_by_location=busy,
                 sources=sorted(sources),
                 session=session,
-                engine=options.engine,
             ),
         )
 

@@ -1,7 +1,7 @@
 """Per-query execution options, collapsed into one immutable dataclass.
 
 The historical :class:`~repro.pqp.processor.PolygenQueryProcessor` grew a
-pile of constructor flags (``optimize``, ``concurrent``, ``pushdown``,
+pile of constructor flags (``optimize``, ``pushdown``,
 ``prune_projections``, …) that froze one behaviour into each processor
 instance.  A federation serves many users with different needs, so the same
 knobs live here instead: a :class:`QueryOptions` is defaulted on the
@@ -19,9 +19,6 @@ from repro.core.cell import ConflictPolicy
 
 __all__ = ["QueryOptions"]
 
-#: The two execution engines a query can request.
-_ENGINES = ("serial", "concurrent")
-
 #: Valid ``optimize`` settings: the rewrite pipeline on/off, or the
 #: cost-based mode that picks the cheapest simulated plan shape.
 _OPTIMIZE_MODES = (True, False, "cost")
@@ -30,19 +27,15 @@ _OPTIMIZE_MODES = (True, False, "cost")
 #: (:mod:`repro.service.cache`).
 _CACHE_MODES = ("off", "on", "refresh")
 
-#: Valid ``wire_format`` settings for remote LQP traffic
-#: (:mod:`repro.net.protocol`).
-_WIRE_FORMATS = ("auto", "binary", "json")
-
 
 @dataclass(frozen=True)
 class QueryOptions:
     """How one query should be planned and executed.
 
-    - ``engine`` — ``"concurrent"`` drives the plan DAG over the shared
-      per-database worker pool (the service default); ``"serial"`` walks
-      the matrix row by row on the coordinating thread, exactly as the
-      paper describes.
+    Every query runs through the federation's one pooled executor; the
+    wire encoding of remote traffic is a per-connection setting
+    (``RemoteLQP(wire_format=...)``), not a per-query one.
+
     - ``optimize`` / ``pushdown`` / ``prune_projections`` — the optimizer
       master switch and its two semantic rewrites (selection pushdown into
       LQPs; dead-column pruning at materialization).  ``optimize="cost"``
@@ -56,11 +49,6 @@ class QueryOptions:
       every relation a scheme maps even when the probe needs only some.
     - ``fetch_size`` — how many result tuples a streaming cursor hands out
       per batch.
-    - ``wire_format`` — encoding for remote LQP traffic: ``"auto"`` (the
-      default) uses whatever the ``hello`` negotiation settled on — binary
-      columnar v2 against a v2 peer, JSON against an old one;
-      ``"binary"``/``"json"`` force that encoding for this query's chunk
-      streams.
     - ``stream_chunk_size`` — tuples per chunk when a streamable-spine
       plan pipelines through the executor
       (:mod:`repro.pqp.stream`); plans that cannot stream ignore it.
@@ -82,7 +70,6 @@ class QueryOptions:
       disables the log.
     """
 
-    engine: str = "concurrent"
     optimize: Union[bool, str] = True
     pushdown: bool = True
     prune_projections: bool = False
@@ -91,7 +78,6 @@ class QueryOptions:
     fetch_size: int = 64
     shard_width: Union[int, str] = 0
     cache: str = "off"
-    wire_format: str = "auto"
     stream_chunk_size: int = 1024
     slow_query_ms: Optional[float] = None
 
@@ -100,15 +86,11 @@ class QueryOptions:
 
         A typo'd or ill-typed knob must fail loudly *here*: these options
         flow through three levels of defaulting (federation → session →
-        submit), and a value that merely truthy-coerces — ``engine=0``,
+        submit), and a value that merely truthy-coerces — ``cache=0``,
         ``pushdown="no"`` — would otherwise silently run the query with
         behaviour the caller never asked for.  Every rejection names the
         offending field.
         """
-        if not isinstance(self.engine, str) or self.engine not in _ENGINES:
-            raise ValueError(
-                f"engine must be one of {_ENGINES}, got {self.engine!r}"
-            )
         # Equality, not identity: the historical facade accepted any 0/1
         # truthy optimize (``optimize=1`` == True), and that tolerance is
         # part of its unchanged-signature contract.
@@ -148,14 +130,6 @@ class QueryOptions:
             raise ValueError(
                 f"cache must be one of {_CACHE_MODES}, got {self.cache!r}"
             )
-        if (
-            not isinstance(self.wire_format, str)
-            or self.wire_format not in _WIRE_FORMATS
-        ):
-            raise ValueError(
-                f"wire_format must be one of {_WIRE_FORMATS}, "
-                f"got {self.wire_format!r}"
-            )
         if isinstance(self.stream_chunk_size, bool) or not isinstance(
             self.stream_chunk_size, int
         ):
@@ -187,7 +161,7 @@ class QueryOptions:
 
         This is the per-call resolution step: federation defaults →
         session defaults → ``submit(..., **overrides)`` — which is exactly
-        where a typo'd keyword (``submit(q, engin="serial")``) would
+        where a typo'd keyword (``submit(q, fetch_sise=8)``) would
         otherwise vanish into ``**overrides`` and become a silent no-op.
         """
         if not overrides:

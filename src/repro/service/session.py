@@ -58,7 +58,7 @@ class Session:
         :class:`~repro.service.handle.QueryHandle`.
 
         Options resolve ``options`` (or this session's defaults) then
-        ``**overrides`` — e.g. ``submit(q, engine="serial")``.
+        ``**overrides`` — e.g. ``submit(q, cache="on")``.
         """
         resolved = (options or self.defaults).replace(**overrides)
         # Closed-check, submission and handle registration are one atomic

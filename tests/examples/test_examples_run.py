@@ -111,6 +111,6 @@ class TestExamples:
         output = run_example("federation_service.py")
         assert "Genentech, CEO Bob Swanson" in output  # the paper's Table 9
         assert "IBM (origins ['AD', 'PD'])" in output  # streamed with tags
-        assert "executed by ['serial']" in output  # per-session override
+        assert "attribute(s) pruned" in output  # per-session override
         assert "3 submitted, 3 completed, 0 failed" in output
         assert "worker thread(s)" in output

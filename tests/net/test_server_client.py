@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.lqp.cost import AccountingLQP, LatencyLQP
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
-from repro.net import LQPServer, RemoteLQP, protocol
+from repro.net import LQPServer, RemoteLQP, binary, protocol
 
 #: Transport timeout used throughout: long enough for a loaded CI runner,
 #: short enough that a hung socket fails fast.
@@ -267,14 +267,35 @@ class TestChunkStreaming:
         assert [len(batch) for batch in seen] == [3, 3, 2]
         assert [row for batch in seen for row in batch] == list(relation.rows)
 
-    def test_transport_counts_chunks_and_bytes(self, server):
+    def test_transport_counts_chunks_and_bytes(self, server, monkeypatch):
         with RemoteLQP(server.url, timeout=TIMEOUT) as remote:
             remote.retrieve("ALUMNUS")
             stats = remote.transport_stats()
-        assert stats.requests == 1
-        assert stats.chunks == 3
-        assert stats.tuples == 8
-        assert stats.bytes_sent > 0 and stats.bytes_received > 0
+            assert stats.requests == 1
+            assert stats.chunks == 3
+            assert stats.tuples == 8
+            assert stats.bytes_sent > 0 and stats.bytes_received > 0
+            # A chunk stream: counted exactly once per tuple and chunk, and
+            # each binary chunk turned into rows once (by the stream), not
+            # a second time by the transport just to count it.
+            rowified = []
+            columns_to_rows = binary.columns_to_rows
+
+            def counting(message):
+                rowified.append(message["count"])
+                return columns_to_rows(message)
+
+            monkeypatch.setattr(binary, "columns_to_rows", counting)
+            rows = [
+                row for chunk in remote.retrieve_chunks("ALUMNUS") for row in chunk.rows
+            ]
+            streamed = remote.transport_stats()
+        assert len(rows) == 8
+        assert streamed.requests - stats.requests == 1
+        assert streamed.chunks - stats.chunks == 3
+        assert streamed.tuples - stats.tuples == 8
+        assert streamed.binary_chunks - stats.binary_chunks == 3
+        assert rowified == [3, 3, 2]
 
 
 class TestConcurrency:
@@ -378,15 +399,16 @@ class TestFaults:
             scripted.close()
 
     def test_v1_server_negotiates_json_fallback(self):
+        # A PR-5-era server: protocol 1, no min_protocol, no formats.
+        v1_hello_frame = {
+            "kind": "hello",
+            "protocol": 1,
+            "database": "XX",
+            "relations": ["T"],
+        }
+
         def v1_hello(scripted, sock):
-            # A PR-5-era server: protocol 1, no min_protocol, no formats.
-            hello = {
-                "kind": "hello",
-                "protocol": 1,
-                "database": "XX",
-                "relations": ["T"],
-            }
-            sock.sendall(protocol.encode_frame(hello))
+            sock.sendall(protocol.encode_frame(v1_hello_frame))
             request = scripted.read_frame(sock)
             # The v2 client must not ask a v1 peer for binary frames.
             assert "format" not in request
@@ -402,16 +424,23 @@ class TestFaults:
             )
             scripted.read_frame(sock)  # block until the client closes
 
-        scripted = _ScriptedServer(v1_hello)
+        def v1_hello_only(scripted, sock):
+            sock.sendall(protocol.encode_frame(v1_hello_frame))
+            scripted.read_frame(sock)  # wait for the client to give up
+
+        scripted = _ScriptedServer(v1_hello, v1_hello_only)
         try:
             remote = RemoteLQP(scripted.url, timeout=TIMEOUT, retries=0)
             assert not remote.binary_negotiated
             relation = remote.retrieve("T")
             assert sorted(relation.rows) == [(1,), (2,)]
             assert remote.transport_stats().binary_chunks == 0
-            with pytest.raises(ProtocolError, match="binary"):
-                remote.retrieve_chunks("T", wire_format="binary")
             remote.close()
+            # A client that insists on binary refuses the v1 peer outright.
+            with pytest.raises(ProtocolError, match="binary"):
+                RemoteLQP(
+                    scripted.url, timeout=TIMEOUT, retries=0, wire_format="binary"
+                )
         finally:
             scripted.close()
 

@@ -70,7 +70,6 @@ class TestSlowQueryEvent:
             busy_by_location={"AD": 0.12345678, "PQP": 0.001},
             sources=["CD", "AD"],
             session="alice",
-            engine="concurrent",
         )
         assert payload == {
             "query": "SELECT ...",
@@ -82,5 +81,4 @@ class TestSlowQueryEvent:
             "busy_by_location": {"AD": 0.123457, "PQP": 0.001},
             "sources": ["AD", "CD"],
             "session": "alice",
-            "engine": "concurrent",
         }

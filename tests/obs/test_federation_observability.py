@@ -21,9 +21,10 @@ from tests.integration.conftest import PAPER_SQL
 TIMEOUT = 5.0
 
 
-@pytest.fixture(scope="module")
-def distributed_federation():
-    """AD and CD behind real TCP servers, PD in-process."""
+@contextlib.contextmanager
+def _distributed(wire_format="auto"):
+    """AD and CD behind real TCP servers (one ``RemoteLQP`` each, speaking
+    ``wire_format``), PD in-process."""
     databases = paper_databases()
     with contextlib.ExitStack() as stack:
         registry = LQPRegistry()
@@ -31,7 +32,9 @@ def distributed_federation():
             lqp = RelationalLQP(database)
             if name in ("AD", "CD"):
                 server = stack.enter_context(LQPServer(lqp, chunk_size=4))
-                lqp = stack.enter_context(RemoteLQP(server.url, timeout=TIMEOUT))
+                lqp = stack.enter_context(
+                    RemoteLQP(server.url, timeout=TIMEOUT, wire_format=wire_format)
+                )
             registry.register(lqp)
         federation = stack.enter_context(
             PolygenFederation(
@@ -40,6 +43,12 @@ def distributed_federation():
                 resolver=paper_identity_resolver(),
             )
         )
+        yield federation
+
+
+@pytest.fixture(scope="module")
+def distributed_federation():
+    with _distributed() as federation:
         yield federation
 
 
@@ -55,16 +64,10 @@ def local_federation():
 
 
 class TestStitchedTrace:
-    @pytest.mark.parametrize("engine", ["serial", "concurrent"])
     @pytest.mark.parametrize("wire_format", ["json", "binary"])
-    def test_one_trace_spans_coordinator_and_servers(
-        self, distributed_federation, engine, wire_format
-    ):
-        federation = distributed_federation
-        result = federation.run(
-            PAPER_SQL,
-            federation.defaults.replace(engine=engine, wire_format=wire_format),
-        )
+    def test_one_trace_spans_coordinator_and_servers(self, wire_format):
+        with _distributed(wire_format) as federation:
+            result = federation.run(PAPER_SQL)
         assert len(result.relation) == 3  # still the paper's answer
         spans = result.trace.spans
         # ONE trace: every span — coordinator and server-side — shares id.
@@ -171,7 +174,6 @@ class TestSlowQueryLog:
         session.execute(PAPER_SQL)
         [entry] = federation.events.records("slow_query")
         assert entry["session"] == "audit"
-        assert entry["engine"] == "concurrent"
         assert entry["cache"] == "off"
         assert entry["shape"] == "rewritten"
         assert entry["sources"] == ["AD", "CD", "PD"]

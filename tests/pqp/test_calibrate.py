@@ -313,7 +313,6 @@ class TestCostBasedFacade:
             schema=paper_polygen_schema(),
             registry=registry,
             resolver=paper_identity_resolver(),
-            concurrent=True,
         )
         for _ in range(2):
             pqp.run_sql(PAPER_SQL)

@@ -8,11 +8,11 @@ tags.  Hypothesis drives the same randomized polygen queries as
 :mod:`tests.property.test_execution_equivalence` through
 
 - homogeneous federations (all three paper databases in one backend
-  kind), serial and concurrent-optimized, and
+  kind), inline and pooled-optimized, and
 - a mixed polystore (AD in SQLite, PD in a log store, CD in a KV store),
   locally *and* behind loopback :class:`~repro.net.server.LQPServer`\\ s,
 
-and asserts every configuration equals the in-process serial baseline.
+and asserts every configuration equals the in-process inline baseline.
 Capability differences (native vs scan-filter selection, projection
 pushdown, range splitting) may move work around — they must never move
 a single tuple or tag.
@@ -37,6 +37,7 @@ from repro.lqp.relational_lqp import RelationalLQP
 from repro.net import LQPServer
 from repro.pqp.processor import PolygenQueryProcessor
 
+from tests.property.reference import InlineProcessor
 from tests.property.test_execution_equivalence import queries
 
 TIMEOUT = 5.0
@@ -103,9 +104,11 @@ def harness(tmp_path_factory):
         ]
         opened.extend(serial)
         opened.extend(concurrent)
-        engines[f"{kind}_serial"] = _processor(serial, optimize=False)
+        engines[f"{kind}_serial"] = InlineProcessor(
+            _processor(serial, optimize=False)
+        )
         engines[f"{kind}_concurrent_optimized"] = _processor(
-            concurrent, concurrent=True, pushdown=True, prune_projections=True
+            concurrent, pushdown=True, prune_projections=True
         )
 
     # The mixed polystore, local and behind loopback servers.
@@ -123,7 +126,6 @@ def harness(tmp_path_factory):
     opened.extend(mixtures["polystore_remote"])
     engines["polystore_local"] = _processor(
         mixtures["polystore_local"],
-        concurrent=True,
         pushdown=True,
         prune_projections=True,
     )
@@ -132,11 +134,11 @@ def harness(tmp_path_factory):
         for lqp in mixtures["polystore_remote"]
     ]
     engines["polystore_remote"] = _remote_processor(
-        servers, concurrent=True, pushdown=True, prune_projections=True
+        servers, pushdown=True, prune_projections=True
     )
 
-    baseline = _processor(
-        [RelationalLQP(db) for db in databases.values()], optimize=False
+    baseline = InlineProcessor(
+        _processor([RelationalLQP(db) for db in databases.values()], optimize=False)
     )
     yield baseline, engines
     for processor in engines.values():

@@ -5,8 +5,8 @@ invalidation:
 
 1. **Equivalence** — for any query, a result served by a cache-enabled
    federation (first run populates, second run hits) is cell-for-cell and
-   tag-for-tag identical to fresh execution, across the full engine ×
-   transport matrix (serial/concurrent × in-process/loopback TCP).
+   tag-for-tag identical to fresh inline execution, in-process and over
+   loopback TCP.
 2. **Precise invalidation** — invalidating database D evicts exactly the
    entries whose source-tag set consults D: a D-consulting query is never
    served from cache afterwards, while entries not consulting D keep
@@ -37,6 +37,7 @@ from repro.pqp.processor import PolygenQueryProcessor
 from repro.service.federation import PolygenFederation
 from repro.service.options import QueryOptions
 
+from tests.property.reference import InlineProcessor
 from tests.property.test_execution_equivalence import queries
 
 TIMEOUT = 15.0
@@ -66,12 +67,14 @@ def _plan_databases(result) -> set:
 
 @pytest.fixture(scope="module")
 def oracle():
-    """Cache-free serial facade: the ground truth for data and tags."""
-    return PolygenQueryProcessor(
-        schema=paper_polygen_schema(),
-        registry=_local_registry(),
-        resolver=paper_identity_resolver(),
-        optimize=False,
+    """Cache-free inline execution: the ground truth for data and tags."""
+    return InlineProcessor(
+        PolygenQueryProcessor(
+            schema=paper_polygen_schema(),
+            registry=_local_registry(),
+            resolver=paper_identity_resolver(),
+            optimize=False,
+        )
     )
 
 
@@ -88,17 +91,13 @@ def loopback_urls():
 
 @pytest.fixture(
     scope="module",
-    params=[
-        "serial-local",
-        "concurrent-local",
-        "serial-loopback",
-        "concurrent-loopback",
-    ],
+    # A federation always runs the ConcurrentExecutor; the second part of
+    # the id is where its sources live.
+    params=["concurrent-local", "concurrent-loopback"],
 )
 def cached_federation(request, loopback_urls):
-    engine, transport = request.param.split("-")
     registry = LQPRegistry()
-    if transport == "loopback":
+    if request.param.endswith("loopback"):
         for url in loopback_urls:
             registry.register(url, timeout=TIMEOUT)
     else:
@@ -107,7 +106,7 @@ def cached_federation(request, loopback_urls):
         paper_polygen_schema(),
         registry,
         resolver=paper_identity_resolver(),
-        defaults=QueryOptions(engine=engine, cache="on"),
+        defaults=QueryOptions(cache="on"),
     ) as federation:
         yield federation
 

@@ -1,9 +1,10 @@
 """Executor-equivalence properties.
 
-The concurrent runtime, the optimizer's semantic rewrites (selection
+The pooled executor, the optimizer's semantic rewrites (selection
 pushdown, projection pruning) and the cost-based shape selection must be
 invisible in the answer: for any query, the relation they produce — data,
-headings, *and tags* — equals the serial, unoptimized pipeline's.
+headings, *and tags* — equals the unoptimized plan run by the inline
+reference executor.
 Hypothesis drives randomized polygen queries over the paper's federation
 (whose identity resolver and domain transforms are exactly the hazards
 pushdown must respect) through five differently-configured processors and
@@ -25,6 +26,8 @@ from repro.datasets.paper import (
 from repro.lqp.registry import LQPRegistry
 from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.processor import PolygenQueryProcessor
+
+from tests.property.reference import InlineProcessor
 
 #: Values seen in (or near-missing from) the paper's data, per probed
 #: attribute.  "CitiCorp"/"Citicorp" exercise the identity-resolver
@@ -135,13 +138,13 @@ def _processor(**kwargs) -> PolygenQueryProcessor:
 @pytest.fixture(scope="module")
 def engines():
     return {
-        "baseline": _processor(optimize=False),
-        "optimized": _processor(pushdown=True, prune_projections=True),
-        "concurrent": _processor(concurrent=True, optimize=False),
-        "concurrent_optimized": _processor(
-            concurrent=True, pushdown=True, prune_projections=True
+        "baseline": InlineProcessor(_processor(optimize=False)),
+        "optimized": InlineProcessor(
+            _processor(pushdown=True, prune_projections=True)
         ),
-        "cost_optimized": _processor(concurrent=True, optimize="cost"),
+        "concurrent": _processor(optimize=False),
+        "concurrent_optimized": _processor(pushdown=True, prune_projections=True),
+        "cost_optimized": _processor(optimize="cost"),
     }
 
 
@@ -164,7 +167,7 @@ def test_all_engines_agree(engines, query):
     for name in _VARIANTS:
         other = engines[name].run_algebra(query)
         assert other.relation == baseline.relation, (
-            f"{name} diverged from serial/unoptimized on {query!r}"
+            f"{name} diverged from inline/unoptimized on {query!r}"
         )
         assert other.lineage == baseline.lineage
 

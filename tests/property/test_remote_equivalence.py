@@ -7,8 +7,8 @@ produce relations that equal the in-process federation's bit for bit:
 data, headings, *and tags*.  Hypothesis drives the same randomized
 polygen queries as :mod:`tests.property.test_execution_equivalence`
 through remote-backed processors in all four engine configurations
-(serial/concurrent × unoptimized/optimized) and asserts tag-identical
-results against the in-process serial baseline.
+(inline/pooled × unoptimized/optimized) and asserts tag-identical
+results against the in-process inline baseline.
 
 Fault-injection coverage (dropped connections → typed errors, client
 timeouts propagating cancellation to the server) lives in
@@ -29,6 +29,7 @@ from repro.lqp.relational_lqp import RelationalLQP
 from repro.net import LQPServer
 from repro.pqp.processor import PolygenQueryProcessor
 
+from tests.property.reference import InlineProcessor
 from tests.property.test_execution_equivalence import queries
 
 #: Transport settings: short enough that a wedged socket fails the suite
@@ -48,15 +49,17 @@ def _remote_processor(servers, **kwargs) -> PolygenQueryProcessor:
     )
 
 
-def _in_process_baseline() -> PolygenQueryProcessor:
+def _in_process_baseline() -> InlineProcessor:
     registry = LQPRegistry()
     for database in paper_databases().values():
         registry.register(RelationalLQP(database))
-    return PolygenQueryProcessor(
-        schema=paper_polygen_schema(),
-        registry=registry,
-        resolver=paper_identity_resolver(),
-        optimize=False,
+    return InlineProcessor(
+        PolygenQueryProcessor(
+            schema=paper_polygen_schema(),
+            registry=registry,
+            resolver=paper_identity_resolver(),
+            optimize=False,
+        )
     )
 
 
@@ -67,15 +70,15 @@ def harness():
         for database in paper_databases().values()
     ]
     engines = {
-        "remote_serial": _remote_processor(servers, optimize=False),
-        "remote_optimized": _remote_processor(
-            servers, pushdown=True, prune_projections=True
+        "remote_serial": InlineProcessor(
+            _remote_processor(servers, optimize=False)
         ),
-        "remote_concurrent": _remote_processor(
-            servers, concurrent=True, optimize=False
+        "remote_optimized": InlineProcessor(
+            _remote_processor(servers, pushdown=True, prune_projections=True)
         ),
+        "remote_concurrent": _remote_processor(servers, optimize=False),
         "remote_concurrent_optimized": _remote_processor(
-            servers, concurrent=True, pushdown=True, prune_projections=True
+            servers, pushdown=True, prune_projections=True
         ),
     }
     baseline = _in_process_baseline()

@@ -3,9 +3,9 @@
 The federation service must be invisible in the answer: for any query, a
 result obtained through a shared, concurrently-loaded
 :class:`~repro.service.federation.PolygenFederation` — eight sessions
-submitting at once over one long-lived worker pool — equals the blocking
-serial facade's, data, headings *and* tags.  Reuses the randomized query
-generator of :mod:`tests.property.test_execution_equivalence`, whose
+submitting at once over one long-lived worker pool — equals the inline
+reference executor's, data, headings *and* tags.  Reuses the randomized
+query generator of :mod:`tests.property.test_execution_equivalence`, whose
 identity-resolver and domain-transform hazards are exactly what concurrent
 materialization must not disturb.
 """
@@ -23,6 +23,7 @@ from repro.lqp.relational_lqp import RelationalLQP
 from repro.pqp.processor import PolygenQueryProcessor
 from repro.service.federation import PolygenFederation
 
+from tests.property.reference import InlineProcessor
 from tests.property.test_execution_equivalence import queries
 
 #: Concurrent sessions per drawn query (the acceptance floor is 8).
@@ -38,11 +39,13 @@ def _registry() -> LQPRegistry:
 
 @pytest.fixture(scope="module")
 def serial_facade():
-    return PolygenQueryProcessor(
-        schema=paper_polygen_schema(),
-        registry=_registry(),
-        resolver=paper_identity_resolver(),
-        optimize=False,
+    return InlineProcessor(
+        PolygenQueryProcessor(
+            schema=paper_polygen_schema(),
+            registry=_registry(),
+            resolver=paper_identity_resolver(),
+            optimize=False,
+        )
     )
 
 

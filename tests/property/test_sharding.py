@@ -32,6 +32,8 @@ from repro.relational.database import LocalDatabase
 from repro.relational.schema import RelationSchema
 from repro.service.federation import PolygenFederation
 
+from tests.property.reference import InlineProcessor
+
 TIMEOUT = 5.0
 
 #: Key columns: integers with nils, sized to exercise empty / lopsided
@@ -96,12 +98,10 @@ def _local_registry(keys) -> LQPRegistry:
 @example(keys=[], width=2)  # empty relation
 def test_sharded_equals_unsharded_locally(keys, width):
     registry = _local_registry(keys)
-    serial = PolygenQueryProcessor(
+    concurrent = PolygenQueryProcessor(
         schema=_schema(), registry=registry, optimize=False
     )
-    concurrent = PolygenQueryProcessor(
-        schema=_schema(), registry=registry, concurrent=True, optimize=False
-    )
+    serial = InlineProcessor(concurrent)
     try:
         baseline = serial.run_plan(_plan())
         sharded, _ = shard_retrieves(
@@ -114,7 +114,6 @@ def test_sharded_equals_unsharded_locally(keys, width):
             )
             assert run.lineage == baseline.lineage
     finally:
-        serial.close()
         concurrent.close()
 
 
@@ -129,8 +128,10 @@ def test_sharded_equals_unsharded_locally(keys, width):
 def test_sharded_equals_unsharded_over_loopback(keys, width):
     from repro.net import LQPServer
 
-    baseline_engine = PolygenQueryProcessor(
-        schema=_schema(), registry=_local_registry(keys), optimize=False
+    baseline_engine = InlineProcessor(
+        PolygenQueryProcessor(
+            schema=_schema(), registry=_local_registry(keys), optimize=False
+        )
     )
     baseline = baseline_engine.run_plan(_plan())
     baseline_engine.close()
@@ -138,12 +139,10 @@ def test_sharded_equals_unsharded_over_loopback(keys, width):
     server = LQPServer(RelationalLQP(_database(keys)), chunk_size=3).start()
     registry = LQPRegistry()
     registry.register(server.url, concurrency=4, timeout=TIMEOUT)
-    engines = [
-        PolygenQueryProcessor(
-            schema=_schema(), registry=registry, concurrent=concurrent, optimize=False
-        )
-        for concurrent in (False, True)
-    ]
+    concurrent = PolygenQueryProcessor(
+        schema=_schema(), registry=registry, optimize=False
+    )
+    engines = [InlineProcessor(concurrent), concurrent]
     try:
         # Stats arrive over the wire (relation_stats round trip, cached).
         sharded, _ = shard_retrieves(
@@ -170,7 +169,7 @@ class TestShardedExecutionDetail:
         )
         assert report.shards_emitted == 4
         engine = PolygenQueryProcessor(
-            schema=_schema(), registry=registry, concurrent=True, optimize=False
+            schema=_schema(), registry=registry, optimize=False
         )
         try:
             run = engine.run_plan(sharded)

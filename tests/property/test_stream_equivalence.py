@@ -2,11 +2,11 @@
 
 Pipelined chunk streaming must be invisible in the answer: for any query,
 the batches a streaming cursor yields — concatenated — must equal the
-whole-relation result *tag for tag*, no matter which engine ran the plan
-(serial/concurrent), where the sources live (in-process/loopback
-servers), or which wire encoding carried the chunks (binary v2 / JSON
-v1).  Alongside the hypothesis sweep: NaN cells, nil keys and empty
-strings crossing every wire intact; tag-pool deltas split across
+whole-relation result *tag for tag*, no matter where the sources live
+(in-process/loopback servers) or which wire encoding carried the chunks
+(binary v2 / JSON v1; one ``RemoteLQP`` per format).  Alongside the
+hypothesis sweep: NaN cells, nil keys and empty strings crossing every
+wire intact; tag-pool deltas split across
 arbitrary chunk boundaries; and the version-mismatch fallback — a v1
 peer keeps working, at JSON, with zero binary frames on the wire.
 """
@@ -34,6 +34,7 @@ from repro.service.federation import PolygenFederation
 from repro.storage.columnar import ColumnarRelation
 from repro.storage.tag_pool import TagPool
 
+from tests.property.reference import InlineProcessor
 from tests.property.test_execution_equivalence import queries
 
 TIMEOUT = 10.0
@@ -48,43 +49,48 @@ def _in_process_registry() -> LQPRegistry:
 
 @pytest.fixture(scope="module")
 def harness():
-    baseline = PolygenQueryProcessor(
-        schema=paper_polygen_schema(),
-        registry=_in_process_registry(),
-        resolver=paper_identity_resolver(),
-        optimize=False,
+    baseline = InlineProcessor(
+        PolygenQueryProcessor(
+            schema=paper_polygen_schema(),
+            registry=_in_process_registry(),
+            resolver=paper_identity_resolver(),
+            optimize=False,
+        )
     )
     servers = [
         LQPServer(RelationalLQP(database), chunk_size=3).start()
         for database in paper_databases().values()
     ]
 
-    def remote_registry() -> LQPRegistry:
+    def remote_registry(wire_format: str) -> LQPRegistry:
         registry = LQPRegistry()
         for server in servers:
-            registry.register(server.url, concurrency=4, timeout=TIMEOUT)
+            registry.register(
+                server.url, concurrency=4, timeout=TIMEOUT, wire_format=wire_format
+            )
         return registry
 
-    local = PolygenFederation(
-        paper_polygen_schema(),
-        _in_process_registry(),
-        resolver=paper_identity_resolver(),
-    )
-    loopback = PolygenFederation(
-        paper_polygen_schema(),
-        remote_registry(),
-        resolver=paper_identity_resolver(),
-    )
+    federations = {
+        "local": PolygenFederation(
+            paper_polygen_schema(),
+            _in_process_registry(),
+            resolver=paper_identity_resolver(),
+        ),
+    }
+    for wire_format in ("binary", "json"):
+        federations[f"loopback_{wire_format}"] = PolygenFederation(
+            paper_polygen_schema(),
+            remote_registry(wire_format),
+            resolver=paper_identity_resolver(),
+        )
     #: Tiny chunks force multi-chunk streams and cross-chunk tag deltas.
     sessions = {
-        "local_serial": local.session(engine="serial", stream_chunk_size=2),
-        "local_concurrent": local.session(engine="concurrent", stream_chunk_size=2),
-        "loopback_binary": loopback.session(wire_format="binary", stream_chunk_size=2),
-        "loopback_json": loopback.session(wire_format="json", stream_chunk_size=2),
+        name: federation.session(stream_chunk_size=2)
+        for name, federation in federations.items()
     }
     yield baseline, sessions
-    local.close()
-    loopback.close()
+    for federation in federations.values():
+        federation.close()
     baseline.close()
     for server in servers:
         server.stop()

@@ -51,14 +51,13 @@ def _federation(latency=0.0, **kwargs) -> PolygenFederation:
 
 @pytest.fixture(scope="module")
 def reference():
-    """The serial facade's answer to the paper's query — the tag oracle."""
+    """The facade's answer to the paper's query — the tag oracle."""
     return build_paper_federation().run_sql(PAPER_SQL)
 
 
 class TestQueryOptions:
     def test_defaults(self):
         options = QueryOptions()
-        assert options.engine == "concurrent"
         assert options.optimize and options.pushdown
         assert not options.prune_projections
         assert options.policy is ConflictPolicy.DROP
@@ -66,13 +65,13 @@ class TestQueryOptions:
     def test_replace_resolves_overrides(self):
         base = QueryOptions()
         assert base.replace() is base
-        tuned = base.replace(engine="serial", fetch_size=7)
-        assert (tuned.engine, tuned.fetch_size) == ("serial", 7)
-        assert base.engine == "concurrent"  # immutable
+        tuned = base.replace(cache="on", fetch_size=7)
+        assert (tuned.cache, tuned.fetch_size) == ("on", 7)
+        assert base.cache == "off"  # immutable
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            QueryOptions(engine="warp")
+        with pytest.raises(ValueError, match="cache"):
+            QueryOptions(cache="warp")
         with pytest.raises(ValueError, match="fetch_size"):
             QueryOptions(fetch_size=0)
         with pytest.raises(ValueError, match="no_such_flag"):
@@ -96,13 +95,13 @@ class TestQueryOptions:
         with pytest.raises(ValueError, match="optimize"):
             QueryOptions(optimize="fast")
         assert QueryOptions(optimize=1).optimize  # historical facade tolerance
-        with pytest.raises(ValueError, match="engine"):
-            QueryOptions(engine=0)
+        with pytest.raises(ValueError, match="cache"):
+            QueryOptions(cache=0)
 
     def test_typoed_override_raises_not_noop(self):
         base = QueryOptions()
-        with pytest.raises(ValueError, match="engin"):
-            base.replace(engin="serial")
+        with pytest.raises(ValueError, match="fetch_sise"):
+            base.replace(fetch_sise=7)
 
 
 class TestSubmission:
@@ -143,20 +142,10 @@ class TestSubmission:
             assert handle.exception() is None
             assert result.relation.cardinality > 0
 
-    def test_per_submit_engine_override(self, reference):
-        with _federation() as federation, federation.session() as session:
-            serial = session.execute(PAPER_SQL, engine="serial")
-            concurrent = session.execute(PAPER_SQL, engine="concurrent")
-        assert serial.relation == concurrent.relation == reference.relation
-        assert {t.worker for t in serial.trace.timings.values()} == {"serial"}
-        assert any(
-            t.worker != "serial" for t in concurrent.trace.timings.values()
-        )
-
     def test_session_option_specialization(self):
         with _federation() as federation:
-            session = federation.session(engine="serial", prune_projections=True)
-            assert session.defaults.engine == "serial"
+            session = federation.session(cache="on", prune_projections=True)
+            assert session.defaults.cache == "on"
             assert session.defaults.prune_projections
             result = session.execute(PAPER_ALGEBRA)
             assert result.optimization.attributes_pruned > 0
@@ -360,17 +349,16 @@ class TestSynchronousRun:
 class TestFacadeOverFederation:
     def test_facade_exposes_its_federation(self):
         pqp = build_paper_federation()
-        assert pqp.federation.defaults.engine == "serial"
-        assert not isinstance(pqp.executor, ConcurrentExecutor)
+        assert pqp.federation.defaults == QueryOptions()
+        assert pqp.executor is pqp.federation.executor_for()
 
-    def test_serial_facade_spawns_no_threads(self):
+    def test_closed_facade_holds_no_threads(self):
         before = threading.active_count()
         for _ in range(5):
-            pqp = build_paper_federation()
-            pqp.run_sql(PAPER_SQL)
-        # The historical facade held zero threads for the serial engine;
-        # the federation-backed facade must not regress that (no
-        # coordinator threads, no pool workers on the serial path).
+            with build_paper_federation() as pqp:
+                pqp.run_sql(PAPER_SQL)
+        # The facade spawns no coordinator threads, and close() joins the
+        # pool workers its queries warmed up.
         assert threading.active_count() == before
 
     def test_dropped_concurrent_facade_releases_its_workers(self):
@@ -385,7 +373,6 @@ class TestFacadeOverFederation:
                 paper_polygen_schema(),
                 _registry(),
                 resolver=paper_identity_resolver(),
-                concurrent=True,
             )
             pqp.run_sql(PAPER_SQL)
             del pqp  # dropped without close(): the pool finalizer must fire
@@ -404,7 +391,6 @@ class TestFacadeOverFederation:
             paper_polygen_schema(),
             registry,
             resolver=paper_identity_resolver(),
-            concurrent=True,
         ) as pqp:
             assert isinstance(pqp.executor, ConcurrentExecutor)
             assert pqp.executor.pool is pqp.federation.pool

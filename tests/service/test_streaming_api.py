@@ -100,38 +100,24 @@ class TestChunksIterator:
 
 class TestStreamingOptions:
     def test_new_fields_validate(self):
-        assert QueryOptions().wire_format == "auto"
         assert QueryOptions().stream_chunk_size == 1024
-        with pytest.raises(ValueError, match="wire_format"):
-            QueryOptions(wire_format="avro")
-        with pytest.raises(ValueError, match="wire_format"):
-            QueryOptions(wire_format=2)
         with pytest.raises(ValueError, match="stream_chunk_size"):
             QueryOptions(stream_chunk_size=0)
         with pytest.raises(ValueError, match="stream_chunk_size"):
             QueryOptions(stream_chunk_size=True)
 
     def test_override_chain_defaults_session_submit(self):
-        defaults = QueryOptions(stream_chunk_size=500, wire_format="json")
+        defaults = QueryOptions(stream_chunk_size=500, fetch_size=32)
         with _federation(defaults=defaults) as federation:
             session = federation.session(stream_chunk_size=200)
             assert session.defaults.stream_chunk_size == 200  # session wins
-            assert session.defaults.wire_format == "json"  # inherited
+            assert session.defaults.fetch_size == 32  # inherited
             # submit-level override wins over both; chunk size 2 must show
             # up as several small batches.
             handle = session.submit(SPINE_SQL, stream_chunk_size=2)
             batches = list(handle.stream().chunks(timeout=30))
             assert len(batches) > 1
             assert all(batch.cardinality <= 2 for batch in batches)
-
-    def test_wire_format_choices_agree_in_process(self):
-        with _federation() as federation, federation.session() as session:
-            results = {
-                fmt: session.execute(SPINE_SQL, wire_format=fmt, timeout=30)
-                for fmt in ("auto", "json", "binary")
-            }
-        relations = [r.relation for r in results.values()]
-        assert relations[0] == relations[1] == relations[2]
 
 
 class TestClosedAndCancelled:

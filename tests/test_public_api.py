@@ -129,40 +129,6 @@ class TestConnect:
 
 
 class TestDeprecationShims:
-    def test_query_result_legacy_path_warns_once(self):
-        import importlib
-        import warnings
-
-        import repro._compat as compat
-        import repro.pqp.processor as processor
-        from repro.pqp.result import QueryResult
-
-        compat._warned.discard(
-            ("repro.pqp.processor.QueryResult", "repro.pqp.result")
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert processor.QueryResult is QueryResult
-            assert processor.QueryResult is QueryResult  # second touch
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-        assert "repro.pqp.result" in str(messages[0].message)
-
-    def test_worker_pool_legacy_path_warns_once(self):
-        import warnings
-
-        import repro._compat as compat
-        import repro.pqp.runtime as runtime
-        from repro.pqp.pool import WorkerPool
-
-        compat._warned.discard(("repro.pqp.runtime.WorkerPool", "repro.pqp.pool"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert runtime.WorkerPool is WorkerPool
-            assert runtime.WorkerPool is WorkerPool
-        messages = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(messages) == 1
-
     def test_new_homes_do_not_warn(self):
         import warnings
 
